@@ -475,9 +475,15 @@ func (c *Client) reconstructRows(meta *tableMeta, providers []int, rowsByProvide
 	err = parallelChunks(c.opts.ParallelWorkers, len(base.Rows), func(start, end int) error {
 		ys := make([]field.Element, c.opts.K)
 		chunkFaulty := map[int]bool{}
+		// One slab backs the chunk's rows; each row is a capacity-limited
+		// window of it, so callers may append to a row without clobbering
+		// the next.
+		w := len(meta.Cols)
+		slab := make([]Value, (end-start)*w)
 		for r := start; r < end; r++ {
 			id := base.Rows[r].ID
-			vals := make([]Value, len(meta.Cols))
+			vals := slab[:w:w]
+			slab = slab[w:]
 			for ci := range meta.Cols {
 				cm := &meta.Cols[ci]
 				cell := colCell[ci]

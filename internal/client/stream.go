@@ -601,8 +601,12 @@ type Rows struct {
 	rs     *rowStream
 	unlock func()
 
-	batch     alignedBatch
-	pos       int
+	batch alignedBatch
+	pos   int
+	// slab backs the rows Next hands out: a capacity-limited window per
+	// row, carved from an allocation sized to the rest of the current
+	// batch (at most rowsSlabMaxRows rows), so rows never overlap.
+	slab      []Value
 	cur       []Value
 	err       error
 	finished  bool
@@ -619,6 +623,10 @@ type Rows struct {
 	remaining uint64
 	hasLimit  bool
 }
+
+// rowsSlabMaxRows caps one Rows slab, so a caller that stops early on a
+// large materialized result does not pay for rows it never reads.
+const rowsSlabMaxRows = 256
 
 // QueryRows parses and executes one SELECT, returning an iterator over its
 // rows. Exec remains the one-shot form; QueryRows is the bounded-memory
@@ -743,7 +751,12 @@ func (r *Rows) Next() bool {
 	}
 	vals := r.batch.values[r.pos]
 	r.pos++
-	row := make([]Value, len(r.idx))
+	w := len(r.idx)
+	if len(r.slab) < w {
+		r.slab = make([]Value, min(len(r.batch.values)-r.pos+1, rowsSlabMaxRows)*w)
+	}
+	row := r.slab[:w:w]
+	r.slab = r.slab[w:]
 	for i, ci := range r.idx {
 		row[i] = vals[ci]
 	}

@@ -255,3 +255,40 @@ func TestStreamingSeesOwnInserts(t *testing.T) {
 		t.Fatalf("after insert: %s", got)
 	}
 }
+
+// TestQueryRowsRowsDoNotOverlap pins the ownership rule of Rows.Row: rows
+// come from a shared slab, but each is a capacity-limited window of it, so
+// a caller appending to one row never changes another, on the streaming
+// path and on a materialized result alike.
+func TestQueryRowsRowsDoNotOverlap(t *testing.T) {
+	f := newFleet(t, 3, 2, Options{})
+	setupEmployees(t, f)
+	for _, q := range []string{
+		`SELECT salary, name FROM employees`,
+		`SELECT * FROM employees ORDER BY salary`,
+	} {
+		want := rowsAsStrings(f.mustExec(t, q))
+		r, err := f.client.QueryRows(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows [][]Value
+		for r.Next() {
+			row := r.Row()
+			if cap(row) != len(row) {
+				t.Fatalf("%s: row has len %d, cap %d", q, len(row), cap(row))
+			}
+			rows = append(rows, row)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range rows {
+			_ = append(rows[i], IntValue(-1))
+		}
+		got := rowsAsStrings(&Result{Rows: rows})
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s after appends:\n  got  %v\n  want %v", q, got, want)
+		}
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 )
 
 // Encoding errors.
@@ -120,22 +121,35 @@ func (c *StringCodec) Encode(s string) (uint64, error) {
 }
 
 // Decode converts an encoded value back into a string, trimming the
-// right-padding.
+// right-padding. The digits are computed on the stack and sized before the
+// string is built, so a decode makes at most one allocation.
 func (c *StringCodec) Decode(v uint64) (string, error) {
 	if v > c.Max() {
 		return "", fmt.Errorf("%w: %d > %d", ErrOutOfRange, v, c.Max())
 	}
+	// Bits() <= 61 and base >= 2 bound the width to 61 digits.
+	var digits [61]int
 	base := uint64(len(c.alphabet))
-	digits := make([]int, c.width)
 	for i := c.width - 1; i >= 0; i-- {
 		digits[i] = int(v % base)
 		v /= base
 	}
+	// The pad symbol is digit 0 and appears nowhere else in the alphabet,
+	// so trimming trailing pads is dropping trailing zero digits.
+	n := c.width
+	for n > 0 && digits[n-1] == 0 {
+		n--
+	}
+	size := 0
+	for _, d := range digits[:n] {
+		size += utf8.RuneLen(c.alphabet[d])
+	}
 	var b strings.Builder
-	for _, d := range digits {
+	b.Grow(size)
+	for _, d := range digits[:n] {
 		b.WriteRune(c.alphabet[d])
 	}
-	return strings.TrimRight(b.String(), string(c.alphabet[0])), nil
+	return b.String(), nil
 }
 
 // PrefixRange returns the inclusive numeric interval [lo, hi] covering

@@ -350,3 +350,68 @@ func BenchmarkStringEncode(b *testing.B) {
 		}
 	}
 }
+
+// decodeReference is the straightforward StringCodec.Decode: digits into a
+// slice, runes through a strings.Builder, then trim the pad runes.
+func decodeReference(c *StringCodec, v uint64) string {
+	base := uint64(len(c.alphabet))
+	digits := make([]int, c.width)
+	for i := c.width - 1; i >= 0; i-- {
+		digits[i] = int(v % base)
+		v /= base
+	}
+	var b strings.Builder
+	for _, d := range digits {
+		b.WriteRune(c.alphabet[d])
+	}
+	return strings.TrimRight(b.String(), string(c.alphabet[0]))
+}
+
+// TestDecodeMatchesReference checks the single-allocation Decode against
+// the reference on random values, the extremes, values whose digits end in
+// pads, and an alphabet of multi-byte runes, and that it allocates at most
+// once.
+func TestDecodeMatchesReference(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(13))
+	for _, cfg := range []struct {
+		alphabet string
+		width    int
+	}{
+		{PaperAlphabet, 5},
+		{PrintableAlphabet, 10},
+		{"·αβγδ€", 12},
+		{"01", 61},
+	} {
+		c, err := NewStringCodec(cfg.alphabet, cfg.width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := uint64(c.Base())
+		vals := []uint64{0, 1, base - 1, base, c.Max(), c.Max() - 1, c.Max() / base * base}
+		for i := 0; i < 500; i++ {
+			v := rng.Uint64() % (c.Max() + 1)
+			// Zero some trailing digits so trimming has pads to drop.
+			pow := uint64(1)
+			for p := rng.Intn(c.Width() + 1); p > 0; p-- {
+				pow *= base
+			}
+			vals = append(vals, v, v/pow*pow)
+		}
+		for _, v := range vals {
+			got, err := c.Decode(v)
+			if err != nil {
+				t.Fatalf("%q/%d: Decode(%d): %v", cfg.alphabet, cfg.width, v, err)
+			}
+			if want := decodeReference(c, v); got != want {
+				t.Fatalf("%q/%d: Decode(%d) = %q, want %q", cfg.alphabet, cfg.width, v, got, want)
+			}
+		}
+		if _, err := c.Decode(c.Max() + 1); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("%q/%d: Decode(Max+1) = %v, want ErrOutOfRange", cfg.alphabet, cfg.width, err)
+		}
+		v := c.Max() / 3
+		if a := testing.AllocsPerRun(20, func() { c.Decode(v) }); a > 1 {
+			t.Errorf("%q/%d: Decode made %.0f allocations, want at most 1", cfg.alphabet, cfg.width, a)
+		}
+	}
+}

@@ -130,6 +130,26 @@ func (r *reader) length(max uint64) int {
 	return int(n)
 }
 
+// count reads a list length bounded by max and rejects it unless the
+// remaining bytes could hold that many elements of at least minSize bytes
+// each. Every decoder sizes its allocations from a count, so this check is
+// what keeps a short hostile frame from demanding a huge allocation: what
+// a message allocates stays proportional to its length.
+func (r *reader) count(max uint64, minSize int) int {
+	n := r.length(max)
+	if r.err != nil {
+		return 0
+	}
+	if uint64(n)*uint64(minSize) > uint64(len(r.buf)-r.off) {
+		r.fail(ErrTruncated)
+		return 0
+	}
+	return n
+}
+
+// bytes returns the next length-prefixed field as a sub-slice of the
+// message buffer, capacity-limited so an append to it reallocates instead
+// of overwriting the bytes that follow. An empty field decodes as nil.
 func (r *reader) bytes() []byte {
 	n := r.length(maxCellLen)
 	if r.err != nil || n == 0 {
@@ -139,8 +159,7 @@ func (r *reader) bytes() []byte {
 		r.fail(ErrTruncated)
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:])
+	out := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return out
 }
@@ -183,10 +202,19 @@ func writeSpec(w *writer, t *TableSpec) {
 	}
 }
 
+// Minimal encoded sizes of list elements, for reader.count.
+const (
+	minColumnSize = 3 // empty name, kind, indexed flag
+	minSpecSize   = 2 // empty name, zero column count
+	minRowSize    = 2 // one-byte id, zero cell count
+	minCellSize   = 1 // zero length prefix
+	minStringSize = 1
+)
+
 func readSpec(r *reader) TableSpec {
 	var t TableSpec
 	t.Name = r.str()
-	n := r.length(4096)
+	n := r.count(4096, minColumnSize)
 	if r.err != nil {
 		return t
 	}
@@ -210,15 +238,20 @@ func writeRow(w *writer, row Row) {
 func readRow(r *reader) Row {
 	var row Row
 	row.ID = r.uvarint()
-	n := r.length(4096)
+	n := r.count(4096, minCellSize)
 	if r.err != nil || n == 0 {
 		return row
 	}
 	row.Cells = make([][]byte, n)
-	for i := range row.Cells {
-		row.Cells[i] = r.bytes()
-	}
+	readCells(r, row.Cells)
 	return row
+}
+
+// readCells fills cells with the next len(cells) byte fields.
+func readCells(r *reader, cells [][]byte) {
+	for i := range cells {
+		cells[i] = r.bytes()
+	}
 }
 
 func writeRows(w *writer, rows []Row) {
@@ -228,14 +261,34 @@ func writeRows(w *writer, rows []Row) {
 	}
 }
 
+// readRows decodes a row list with one allocation for the rows and, in the
+// common case of equal-width rows, one for all their Cells slices: the
+// cell slab is sized as row count × the first row's width, capped by the
+// bytes left in the message (every cell takes at least one), and each row
+// takes a capacity-limited window of it. A row that does not fit the slab
+// starts a new one sized the same way for the rows that remain.
 func readRows(r *reader) []Row {
-	n := r.length(maxListLen)
+	n := r.count(maxListLen, minRowSize)
 	if r.err != nil || n == 0 {
 		return nil
 	}
 	rows := make([]Row, n)
+	var slab [][]byte
 	for i := range rows {
-		rows[i] = readRow(r)
+		rows[i].ID = r.uvarint()
+		w := r.count(4096, minCellSize)
+		if r.err != nil {
+			return nil
+		}
+		if w == 0 {
+			continue
+		}
+		if len(slab) < w {
+			slab = make([][]byte, min(uint64(n-i)*uint64(w), uint64(len(r.buf)-r.off)))
+		}
+		rows[i].Cells = slab[:w:w]
+		slab = slab[w:]
+		readCells(r, rows[i].Cells)
 		if r.err != nil {
 			return nil
 		}
@@ -275,11 +328,8 @@ func writeStrings(w *writer, ss []string) {
 }
 
 func readStrings(r *reader) []string {
-	n := r.length(4096)
-	if r.err != nil {
-		return nil
-	}
-	if n == 0 {
+	n := r.count(4096, minStringSize)
+	if r.err != nil || n == 0 {
 		return nil
 	}
 	ss := make([]string, n)
@@ -297,7 +347,7 @@ func writeU64s(w *writer, vs []uint64) {
 }
 
 func readU64s(r *reader) []uint64 {
-	n := r.length(maxListLen)
+	n := r.count(maxListLen, 8)
 	if r.err != nil || n == 0 {
 		return nil
 	}

@@ -98,6 +98,7 @@ func (m *InsertRequest) unmarshal(r *reader) {
 	m.Table = r.str()
 	m.Rows = readRows(r)
 }
+func (m *InsertRequest) wireSize() int { return strWireSize(m.Table) + rowsWireSize(m.Rows) }
 
 // DeleteRequest removes rows by id.
 type DeleteRequest struct {
@@ -131,6 +132,7 @@ func (m *UpdateRequest) unmarshal(r *reader) {
 	m.Table = r.str()
 	m.Rows = readRows(r)
 }
+func (m *UpdateRequest) wireSize() int { return strWireSize(m.Table) + rowsWireSize(m.Rows) }
 
 // ScanRequest returns rows matching Filter (all rows when nil), projected
 // to the named columns (all when empty), capped at Limit when non-zero.
@@ -423,6 +425,9 @@ func (m *RowsResponse) unmarshal(r *reader) {
 		m.Proof = nil
 	}
 }
+func (m *RowsResponse) wireSize() int {
+	return stringsWireSize(m.Columns) + rowsWireSize(m.Rows) + bytesWireSize(m.Proof)
+}
 
 // AggResult carries a partial aggregate. Count is always set; Sum holds the
 // field-share sum for AggSum; Row holds the selected row for min/max/median.
@@ -476,7 +481,7 @@ func (m *GroupResult) marshal(w *writer) {
 	}
 }
 func (m *GroupResult) unmarshal(r *reader) {
-	n := r.length(maxListLen)
+	n := r.count(maxListLen, 10) // key length prefix, count, sum
 	if r.err != nil || n == 0 {
 		return
 	}
@@ -518,7 +523,7 @@ func (m *JoinResult) marshal(w *writer) {
 }
 func (m *JoinResult) unmarshal(r *reader) {
 	m.Columns = readStrings(r)
-	n := r.length(maxListLen)
+	n := r.count(maxListLen, 17) // two ids, cell count
 	if r.err != nil {
 		return
 	}
@@ -526,7 +531,7 @@ func (m *JoinResult) unmarshal(r *reader) {
 	for i := range m.Rows {
 		m.Rows[i].LeftID = r.u64()
 		m.Rows[i].RightID = r.u64()
-		cn := r.length(4096)
+		cn := r.count(4096, minCellSize)
 		if r.err != nil {
 			return
 		}
@@ -534,9 +539,7 @@ func (m *JoinResult) unmarshal(r *reader) {
 			continue
 		}
 		m.Rows[i].Cells = make([][]byte, cn)
-		for j := range m.Rows[i].Cells {
-			m.Rows[i].Cells[j] = r.bytes()
-		}
+		readCells(r, m.Rows[i].Cells)
 	}
 }
 
@@ -569,7 +572,7 @@ func (m *TablesResponse) marshal(w *writer) {
 	}
 }
 func (m *TablesResponse) unmarshal(r *reader) {
-	n := r.length(65536)
+	n := r.count(65536, minSpecSize)
 	if r.err != nil || n == 0 {
 		return
 	}
@@ -639,9 +642,20 @@ func newMessage(k Kind) (Message, error) {
 	}
 }
 
+// sized is implemented by messages that can carry many rows or byte
+// fields: wireSize returns the exact encoded payload length, so Encode
+// allocates the buffer once instead of growing it by doubling.
+type sized interface {
+	wireSize() int
+}
+
 // Encode serializes a message body (kind byte + payload), without framing.
 func Encode(m Message) []byte {
-	w := &writer{buf: make([]byte, 0, 64)}
+	size := 64
+	if sm, ok := m.(sized); ok {
+		size = 1 + sm.wireSize()
+	}
+	w := &writer{buf: make([]byte, 0, size)}
 	w.u8(uint8(m.Kind()))
 	m.marshal(w)
 	return w.buf
@@ -649,6 +663,13 @@ func Encode(m Message) []byte {
 
 // Decode parses a message body produced by Encode, verifying that the
 // payload is fully consumed.
+//
+// Buffer ownership: the decoded message aliases buf. Byte fields — row
+// cells, filter bounds, proofs, tx ops — are capacity-limited sub-slices
+// of it rather than copies, so the caller hands buf over to the message
+// and must never write to or reuse it while anything decoded from it is
+// reachable. In-tree callers pass a frame body, an Encode result or a WAL
+// record payload, none of which is written after it is decoded.
 func Decode(buf []byte) (Message, error) {
 	if len(buf) == 0 {
 		return nil, ErrTruncated

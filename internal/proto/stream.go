@@ -1,7 +1,8 @@
 package proto
 
-// Wire-size helpers used by the transport layer to split large row
-// responses into bounded stream chunks without encoding twice.
+// Wire-size helpers: the transport layer uses RowWireSize to split large
+// row responses into bounded stream chunks without encoding twice, and
+// Encode uses the rest to size its buffer once for row-bearing messages.
 
 // uvarintSize returns the encoded length of v as a uvarint.
 func uvarintSize(v uint64) int {
@@ -13,12 +14,40 @@ func uvarintSize(v uint64) int {
 	return n
 }
 
+func bytesWireSize(b []byte) int { return uvarintSize(uint64(len(b))) + len(b) }
+
+func strWireSize(s string) int { return uvarintSize(uint64(len(s))) + len(s) }
+
+func stringsWireSize(ss []string) int {
+	n := uvarintSize(uint64(len(ss)))
+	for _, s := range ss {
+		n += strWireSize(s)
+	}
+	return n
+}
+
+func byteSlicesWireSize(bs [][]byte) int {
+	n := uvarintSize(uint64(len(bs)))
+	for _, b := range bs {
+		n += bytesWireSize(b)
+	}
+	return n
+}
+
+func rowsWireSize(rows []Row) int {
+	n := uvarintSize(uint64(len(rows)))
+	for _, r := range rows {
+		n += RowWireSize(r)
+	}
+	return n
+}
+
 // RowWireSize returns the exact number of bytes one Row occupies inside an
 // encoded message (id + cell count + length-prefixed cells).
 func RowWireSize(r Row) int {
 	n := uvarintSize(r.ID) + uvarintSize(uint64(len(r.Cells)))
 	for _, c := range r.Cells {
-		n += uvarintSize(uint64(len(c))) + len(c)
+		n += bytesWireSize(c)
 	}
 	return n
 }

@@ -28,6 +28,7 @@ func (m *TxPrepareRequest) unmarshal(r *reader) {
 	m.TxID = r.u64()
 	m.Ops = readByteSlices(r)
 }
+func (m *TxPrepareRequest) wireSize() int { return 8 + byteSlicesWireSize(m.Ops) }
 
 // TxCommitRequest applies a staged transaction. Unknown ids answer
 // CodeNoSuchTx so the client can distinguish "never staged / lost" from a
@@ -85,6 +86,9 @@ func (m *TxOpsRecord) unmarshal(r *reader) {
 	m.Provider = uint32(r.uvarint())
 	m.Ops = readByteSlices(r)
 }
+func (m *TxOpsRecord) wireSize() int {
+	return 8 + uvarintSize(uint64(m.Provider)) + byteSlicesWireSize(m.Ops)
+}
 
 // TxMarkRecord is a transaction state transition in the client's tx log.
 type TxMarkRecord struct {
@@ -110,13 +114,11 @@ func writeByteSlices(w *writer, bs [][]byte) {
 }
 
 func readByteSlices(r *reader) [][]byte {
-	n := r.length(1 << 20)
+	n := r.count(1<<20, minCellSize)
 	if r.err != nil || n == 0 {
 		return nil
 	}
 	out := make([][]byte, n)
-	for i := range out {
-		out[i] = r.bytes()
-	}
+	readCells(r, out)
 	return out
 }

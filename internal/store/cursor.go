@@ -53,7 +53,21 @@ type ScanCursor struct {
 	remaining  uint64
 	batchBytes int
 	done       bool
+
+	// slab backs the Cells slices of the current batch's projected rows;
+	// slabRows is the row capacity it was last allocated with.
+	slab     [][]byte
+	slabRows int
 }
+
+// Cursor cell-slab sizing, in projected rows. A batch's first slab is
+// small, so a one-row lookup allocates little more than the row needs;
+// each further slab doubles, up to a cap, so a full batch takes a handful
+// of allocations instead of one per row.
+const (
+	cursorSlabMinRows = 4
+	cursorSlabMaxRows = 1024
+)
 
 const unlimitedRows = ^uint64(0)
 
@@ -130,6 +144,9 @@ func (cur *ScanCursor) Next() (*proto.RowsResponse, error) {
 		cur.done = true
 		return nil, err
 	}
+	// Slabs are never reused across batches: an emitted batch's cells are
+	// owned by whoever holds it.
+	cur.slab, cur.slabRows = nil, 0
 	var resp *proto.RowsResponse
 	if cur.indexed {
 		resp, err = cur.nextIndexed(t)
@@ -177,7 +194,7 @@ func (cur *ScanCursor) nextIndexed(t *table) (*proto.RowsResponse, error) {
 		if !ok {
 			return true // index/row raced a concurrent delete; skip
 		}
-		resp.Rows = append(resp.Rows, cur.project(rowID, row))
+		cur.emit(resp, rowID, row)
 		size += proto.RowWireSize(resp.Rows[len(resp.Rows)-1])
 		if cur.remaining != unlimitedRows {
 			if cur.remaining--; cur.remaining == 0 {
@@ -208,7 +225,7 @@ func (cur *ScanCursor) nextByPage(t *table) (*proto.RowsResponse, error) {
 					continue
 				}
 			}
-			resp.Rows = append(resp.Rows, cur.project(row.ID, row))
+			cur.emit(resp, row.ID, row)
 			size += proto.RowWireSize(resp.Rows[len(resp.Rows)-1])
 			if cur.remaining != unlimitedRows {
 				if cur.remaining--; cur.remaining == 0 {
@@ -227,10 +244,26 @@ func (cur *ScanCursor) nextByPage(t *table) (*proto.RowsResponse, error) {
 	return resp, nil
 }
 
-func (cur *ScanCursor) project(id uint64, row proto.Row) proto.Row {
-	out := proto.Row{ID: id, Cells: make([][]byte, len(cur.colIdx))}
+// emit appends the row's projection to the batch, carving its Cells slice
+// from the batch's slab. Each new slab holds twice the rows of the last,
+// and the batch's row slice grows in step with it, so a batch of n rows
+// allocates O(log n) times up to the cap, not once per row.
+func (cur *ScanCursor) emit(resp *proto.RowsResponse, id uint64, row proto.Row) {
+	w := len(cur.colIdx)
+	if len(cur.slab) < w {
+		rows := min(max(2*cur.slabRows, cursorSlabMinRows), cursorSlabMaxRows)
+		if cur.remaining != unlimitedRows && cur.remaining < uint64(rows) {
+			rows = int(cur.remaining)
+		}
+		cur.slab, cur.slabRows = make([][]byte, rows*w), rows
+		if cap(resp.Rows)-len(resp.Rows) < rows {
+			resp.Rows = append(make([]proto.Row, 0, len(resp.Rows)+rows), resp.Rows...)
+		}
+	}
+	out := proto.Row{ID: id, Cells: cur.slab[:w:w]}
+	cur.slab = cur.slab[w:]
 	for i, ci := range cur.colIdx {
 		out.Cells[i] = row.Cells[ci]
 	}
-	return out
+	resp.Rows = append(resp.Rows, out)
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -300,4 +301,68 @@ func TestScanAliasesAreImmutable(t *testing.T) {
 		close(stop)
 	}()
 	wg.Wait()
+}
+
+// TestCursorBatchAllocsBounded checks that one cursor batch carves its
+// projected rows' Cells from a few doubling slabs: growing the batch from
+// 100 to 4000 rows adds about twenty allocations (the slabs and the row
+// slice grown in step with them, plus the extra pages walked), not one
+// per row. Both the heap-order and the index-order paths are covered.
+func TestCursorBatchAllocsBounded(t *testing.T) {
+	batchAllocs := func(n uint64, f *proto.Filter) float64 {
+		s := memStore(t)
+		mustCreate(t, s)
+		var rows []proto.Row
+		for i := uint64(1); i <= n; i++ {
+			rows = append(rows, row(i, i))
+		}
+		if err := s.Insert("employees", rows); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			cur, err := s.OpenCursor("employees", f, []string{"salary#f", "note"}, 0, 1<<30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := cur.Next()
+			if err != nil || uint64(len(b.Rows)) != n {
+				t.Fatalf("batch: %v, %v", b, err)
+			}
+		})
+	}
+	all := &proto.Filter{Col: "salary#o", Op: proto.FilterRange, Lo: oppCell(0), Hi: oppCell(1 << 40)}
+	for _, f := range []*proto.Filter{nil, all} {
+		small, large := batchAllocs(100, f), batchAllocs(4000, f)
+		if large-small > 24 {
+			t.Errorf("filter %v: one batch of 100 rows made %.0f allocations, of 4000 rows %.0f", f, small, large)
+		}
+	}
+}
+
+// TestCursorRowsDoNotOverlap checks that rows carved from one slab are
+// capacity-limited: appending a cell to one row leaves the next intact.
+func TestCursorRowsDoNotOverlap(t *testing.T) {
+	s := memStore(t)
+	mustCreate(t, s)
+	for i := uint64(1); i <= 50; i++ {
+		if err := s.Insert("employees", []proto.Row{row(i, i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur, err := s.OpenCursor("employees", nil, []string{"note", "salary#f"}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cur.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range b.Rows {
+		_ = append(b.Rows[i].Cells, []byte("clobber"))
+	}
+	for i, r := range b.Rows {
+		if want := fmt.Sprintf("n%d", r.ID); string(r.Cells[0]) != want {
+			t.Fatalf("row %d note = %q after appends, want %q", i, r.Cells[0], want)
+		}
+	}
 }

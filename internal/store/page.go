@@ -57,40 +57,63 @@ func encodePage(rows []proto.Row) []byte {
 // decodePage parses a page payload. Cells alias the input buffer — one
 // allocation backs the whole page — which the cell-immutability invariant
 // makes safe: nothing ever writes into a stored cell, mutations replace
-// whole rows.
+// whole rows. A first pass validates the layout and counts rows and cells,
+// so the rows and all their Cells slices take exactly one allocation each.
 func decodePage(data []byte) ([]proto.Row, error) {
 	if len(data) < pageHeaderBytes {
 		return nil, fmt.Errorf("%w: page payload too short", ErrBadRequest)
 	}
 	n := binary.BigEndian.Uint32(data)
 	data = data[pageHeaderBytes:]
-	rows := make([]proto.Row, 0, n)
+	total, err := countPageCells(data, n)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]proto.Row, n)
+	slab := make([][]byte, total)
+	for i := range rows {
+		id := binary.BigEndian.Uint64(data)
+		cells := int(binary.BigEndian.Uint32(data[8:]))
+		data = data[12:]
+		row := proto.Row{ID: id, Cells: slab[:cells:cells]}
+		slab = slab[cells:]
+		for c := range row.Cells {
+			l := binary.BigEndian.Uint32(data)
+			row.Cells[c] = data[4 : 4+l : 4+l]
+			data = data[4+l:]
+		}
+		rows[i] = row
+	}
+	return rows, nil
+}
+
+// countPageCells checks that data holds exactly n encoded rows and returns
+// their total cell count.
+func countPageCells(data []byte, n uint32) (int, error) {
+	total := 0
 	for i := uint32(0); i < n; i++ {
 		if len(data) < 12 {
-			return nil, fmt.Errorf("%w: truncated page row", ErrBadRequest)
+			return 0, fmt.Errorf("%w: truncated page row", ErrBadRequest)
 		}
-		id := binary.BigEndian.Uint64(data)
 		cells := binary.BigEndian.Uint32(data[8:])
 		data = data[12:]
-		row := proto.Row{ID: id, Cells: make([][]byte, cells)}
 		for c := uint32(0); c < cells; c++ {
 			if len(data) < 4 {
-				return nil, fmt.Errorf("%w: truncated page cell", ErrBadRequest)
+				return 0, fmt.Errorf("%w: truncated page cell", ErrBadRequest)
 			}
 			l := binary.BigEndian.Uint32(data)
 			data = data[4:]
 			if uint64(len(data)) < uint64(l) {
-				return nil, fmt.Errorf("%w: truncated page cell payload", ErrBadRequest)
+				return 0, fmt.Errorf("%w: truncated page cell payload", ErrBadRequest)
 			}
-			row.Cells[c] = data[:l:l]
 			data = data[l:]
 		}
-		rows = append(rows, row)
+		total += int(cells)
 	}
 	if len(data) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes after page rows", ErrBadRequest)
+		return 0, fmt.Errorf("%w: trailing bytes after page rows", ErrBadRequest)
 	}
-	return rows, nil
+	return total, nil
 }
 
 // page is the resident (decoded) form of one heap page: rows ascending by

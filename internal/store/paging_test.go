@@ -6,6 +6,7 @@ import (
 	mrand "math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"sssdb/internal/proto"
@@ -414,4 +415,42 @@ func BenchmarkPagedMixed(b *testing.B) {
 		b.Fatalf("resident %d bytes exceeds %d budget", st.ResidentBytes, cacheBytes)
 	}
 	b.ReportMetric(float64(st.ResidentBytes), "resident-bytes")
+}
+
+// TestDecodePageAllocs checks that decoding a page takes exactly two
+// allocations — the rows and one slab for all their Cells — whatever its
+// row count, and that each row's cells are capacity-limited.
+func TestDecodePageAllocs(t *testing.T) {
+	for _, n := range []uint64{1, 10, 1000} {
+		var rows []proto.Row
+		for i := uint64(1); i <= n; i++ {
+			rows = append(rows, row(i, i))
+		}
+		data := encodePage(rows)
+		got, err := decodePage(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if cap(got[i].Cells) != len(got[i].Cells) || !reflect.DeepEqual(got[i], rows[i]) {
+				t.Fatalf("%d rows: row %d decoded as %v (cap %d), want %v", n, i, got[i], cap(got[i].Cells), rows[i])
+			}
+		}
+		if a := testing.AllocsPerRun(10, func() { decodePage(data) }); a != 2 {
+			t.Errorf("decoding a %d-row page made %.0f allocations, want 2", n, a)
+		}
+	}
+}
+
+// TestCopyRowOwnsItsCells checks copyRow's single backing array: the copy
+// shares no bytes with its source, and its cells are capacity-limited.
+func TestCopyRowOwnsItsCells(t *testing.T) {
+	src := proto.Row{ID: 1, Cells: [][]byte{{1, 2}, nil, {3}, {}}}
+	got := copyRow(src)
+	src.Cells[0][0] = 9
+	_ = append(got.Cells[0], 7)
+	want := proto.Row{ID: 1, Cells: [][]byte{{1, 2}, nil, {3}, nil}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("copyRow = %v, want %v", got, want)
+	}
 }

@@ -485,10 +485,26 @@ func indexKey(cell []byte, rowID uint64) []byte {
 // the garbage collector keeps the cell bytes alive for as long as any
 // response references them (TestScanAliasesAreImmutable exercises this
 // under -race).
+//
+// The copy takes two allocations whatever the width: one backing array for
+// all cell bytes, carved into capacity-limited cells, and one Cells slice.
+// A row is only ever replaced whole, so its cells share a lifetime. The
+// copy also cuts the row loose from the request frame its cells alias (see
+// proto.Decode), so a stored row never keeps a frame alive.
 func copyRow(row proto.Row) proto.Row {
+	n := 0
+	for _, c := range row.Cells {
+		n += len(c)
+	}
+	buf := make([]byte, 0, n)
 	out := proto.Row{ID: row.ID, Cells: make([][]byte, len(row.Cells))}
 	for i, c := range row.Cells {
-		out.Cells[i] = append([]byte(nil), c...)
+		if len(c) == 0 {
+			continue
+		}
+		start := len(buf)
+		buf = append(buf, c...)
+		out.Cells[i] = buf[start:len(buf):len(buf)]
 	}
 	return out
 }
@@ -872,16 +888,21 @@ func (s *Store) Scan(name string, f *proto.Filter, projection []string, limit ui
 		return nil, err
 	}
 	resp := &proto.RowsResponse{Columns: cols}
-	for _, id := range ids {
+	if len(ids) > 0 {
+		resp.Rows = make([]proto.Row, len(ids))
+	}
+	w := len(colIdx)
+	slab := make([][]byte, len(ids)*w)
+	for i, id := range ids {
 		row, err := t.row(id)
 		if err != nil {
 			return nil, err
 		}
-		out := proto.Row{ID: id, Cells: make([][]byte, len(colIdx))}
-		for i, ci := range colIdx {
-			out.Cells[i] = row.Cells[ci]
+		out := proto.Row{ID: id, Cells: slab[i*w : (i+1)*w : (i+1)*w]}
+		for j, ci := range colIdx {
+			out.Cells[j] = row.Cells[ci]
 		}
-		resp.Rows = append(resp.Rows, out)
+		resp.Rows[i] = out
 	}
 	if withProof {
 		proof, err := t.proveScan(f)
